@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-diff trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint bench-smoke bench bench-diff perfbench-smoke trace crashtest chaos service-bench cluster-bench ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,6 +46,26 @@ bench-diff:
 		--output /tmp/BENCH_smoke_b.json
 	$(PYTHON) -m repro bench-diff /tmp/BENCH_smoke.json \
 		/tmp/BENCH_smoke_b.json --max-regression 200
+
+# Seeded-fingerprint smoke for the repo benchmark (BENCHMARK.json):
+# the perfbench unit tests, then one short run of each workload.  Fails
+# if any image fingerprint no longer matches perfbench/baseline.json or
+# any run reports "correct": false, so a refactor that changes
+# simulated behaviour cannot pass unnoticed.
+PERFBENCH_WORKLOADS := svc-aged cluster-migrate paper-micro
+
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 1 \
+			> /tmp/perfbench_$$w.txt || exit 1; \
+		cat /tmp/perfbench_$$w.txt; \
+		if grep -q 'DIFFERS from baseline' /tmp/perfbench_$$w.txt \
+			|| grep -q '"correct": false' /tmp/perfbench_$$w.txt; then \
+			echo "perfbench-smoke: $$w changed simulated behaviour" >&2; \
+			exit 1; \
+		fi; \
+	done
 
 # Regenerate the committed trace-attribution report: a seeded
 # 16-client serve-sim with full request tracing, decomposed into
@@ -103,4 +123,4 @@ cluster-bench:
 	$(PYTHON) -m repro bench-diff BENCH_service.json \
 		/tmp/BENCH_service_new.json
 
-ci: lint test bench-smoke bench-diff service-bench cluster-bench crashtest chaos
+ci: lint test bench-smoke bench-diff perfbench-smoke service-bench cluster-bench crashtest chaos

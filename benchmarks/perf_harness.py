@@ -502,16 +502,20 @@ def _legacy_readahead_advise(self, inum, first, last):
 
 def _legacy_cache_evict_to_capacity(self):
     # Pre-optimization eviction: materialize the full evictable-victim
-    # list (an O(cache) scan) on every over-capacity insert, then evict
-    # from the front until back under capacity.
+    # list (an O(cache) scan) in LRU order — ascending touch tick — on
+    # every over-capacity insert, then evict from the front until back
+    # under capacity.  Victims leave stale entries in the eviction heap,
+    # which the cache drops lazily, so its indexes stay consistent.
     if self.used_bytes <= self.capacity_bytes:
         return
-    victims = [
-        key for key, block in self._blocks.items() if self._evictable(block)
-    ]
-    for key in victims:
+    victims = sorted(
+        (block for block in self._blocks.values() if self._evictable(block)),
+        key=lambda block: block.tick,
+    )
+    for block in victims:
         if self.used_bytes <= self.capacity_bytes:
             break
+        key = block.key
         del self._blocks[key]
         self._forget_key(key)
         self.stats.evictions += 1

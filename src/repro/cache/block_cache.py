@@ -11,14 +11,36 @@ Eviction only ever removes *clean data* blocks: dirty blocks must first
 be written back by the owning file system, and metadata blocks (pointer
 blocks, inode-map blocks) stay resident, matching the paper's assumption
 that "blocks mapping active files will stay memory resident" (§4.2.1).
+
+Hot-path discipline: the resident metadata and dirty blocks would pile up
+at the head of an LRU list, so nothing here walks the cache in LRU order.
+Every block carries a ``tick`` from a monotonic counter, set on insert
+and bumped on :meth:`BlockCache.get`; ascending tick order *is* LRU
+order.  Two derived indexes follow from that:
+
+* a lazy min-heap of ``(tick, key)`` entries over the clean evictable
+  blocks, pushed on insert and on ``mark_clean``.  Eviction pops it,
+  drops entries whose block is gone or dirty, re-pushes entries whose
+  block was touched since (its tick moved on), and evicts otherwise.
+  Ticks only grow, so the first such survivor is the true LRU victim;
+* a ``key -> block`` dict of the dirty blocks, so ``dirty_blocks()``
+  costs the dirty set (sorted by tick), not the cache.
+
+``heap_pushes`` / ``heap_pops`` count heap entries added and removed
+(compaction included), so tests can assert the eviction work stays
+bounded by the entries pushed rather than by the number of pinned
+blocks.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import operator
 import struct
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.common.inode import BlockKey, BlockKind
 from repro.errors import InvalidArgumentError
@@ -30,6 +52,14 @@ Payload = Union[bytearray, List[int]]
 # bytes object per block; slicing a memoryview is copy-free.
 _ZERO_PAD = memoryview(bytes(64 * 1024))
 
+# Rebuild the eviction heap once it holds this many entries per resident
+# block; every entry beyond one per block is stale.
+_HEAP_SLACK = 4
+
+_EVICTABLE_KINDS = (BlockKind.DATA, BlockKind.INODE)
+
+_by_tick = operator.attrgetter("tick")
+
 
 @dataclass
 class CacheBlock:
@@ -39,6 +69,8 @@ class CacheBlock:
     payload: Payload
     dirty: bool = False
     dirty_since: float = 0.0
+    tick: int = 0
+    """Last touch (insert or ``get``); ascending tick order is LRU order."""
 
     def as_bytes(self, block_size: int) -> bytes:
         """Serialized block contents, zero-padded to ``block_size``."""
@@ -105,9 +137,13 @@ class BlockCache:
             )
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
-        self._blocks: "OrderedDict[BlockKey, CacheBlock]" = OrderedDict()
+        self._blocks: Dict[BlockKey, CacheBlock] = {}
         self._by_inum: dict = {}
-        self._dirty_bytes = 0
+        self._dirty: Dict[BlockKey, CacheBlock] = {}
+        self._ticks = itertools.count(1)
+        self._evict_heap: List[Tuple[int, BlockKey]] = []
+        self.heap_pushes = 0
+        self.heap_pops = 0
         self._dirty_fifo: Deque[Tuple[BlockKey, float]] = deque()
         self.stats = CacheStats()
         obs = telemetry or NULL_TELEMETRY
@@ -132,7 +168,7 @@ class BlockCache:
         self.stats.hits += 1
         if self._obs_enabled:
             self._m_hits.inc()
-        self._blocks.move_to_end(key)
+        block.tick = next(self._ticks)
         return block
 
     def peek(self, key: BlockKey) -> Optional[CacheBlock]:
@@ -146,10 +182,8 @@ class BlockCache:
         self, key: BlockKey, payload: Payload, dirty: bool, now: float
     ) -> CacheBlock:
         """Insert (or replace) a block; evicts clean data blocks if full."""
-        old = self._blocks.pop(key, None)
-        if old is not None and old.dirty:
-            self._dirty_bytes -= self.block_size
-        block = CacheBlock(key=key, payload=payload, dirty=dirty)
+        self._dirty.pop(key, None)
+        block = CacheBlock(key=key, payload=payload, tick=next(self._ticks))
         self._blocks[key] = block
         self._by_inum.setdefault(key.inum, set()).add(key)
         self.stats.insertions += 1
@@ -157,8 +191,11 @@ class BlockCache:
             self._m_insertions.inc()
         if dirty:
             self._note_dirty(block, now)
-        elif self._obs_enabled:
-            self._m_dirty_bytes.set(self._dirty_bytes)
+        else:
+            if self._obs_enabled:
+                self._m_dirty_bytes.set(self.dirty_bytes)
+            if key.kind in _EVICTABLE_KINDS:
+                self._push_evictable(block)
         self._evict_to_capacity()
         return block
 
@@ -172,18 +209,19 @@ class BlockCache:
     def _note_dirty(self, block: CacheBlock, now: float) -> None:
         block.dirty = True
         block.dirty_since = now
-        self._dirty_bytes += self.block_size
+        self._dirty[block.key] = block
         self._dirty_fifo.append((block.key, now))
         if self._obs_enabled:
-            self._m_dirty_bytes.set(self._dirty_bytes)
+            self._m_dirty_bytes.set(self.dirty_bytes)
 
     def mark_clean(self, key: BlockKey) -> None:
-        block = self._blocks.get(key)
-        if block is not None and block.dirty:
+        block = self._dirty.pop(key, None)
+        if block is not None:
             block.dirty = False
-            self._dirty_bytes -= self.block_size
             if self._obs_enabled:
-                self._m_dirty_bytes.set(self._dirty_bytes)
+                self._m_dirty_bytes.set(self.dirty_bytes)
+            if key.kind in _EVICTABLE_KINDS:
+                self._push_evictable(block)
 
     def discard(self, key: BlockKey) -> None:
         """Remove a block outright (e.g. file deleted before write-back)."""
@@ -191,9 +229,9 @@ class BlockCache:
         if block is not None:
             self._forget_key(key)
             if block.dirty:
-                self._dirty_bytes -= self.block_size
+                del self._dirty[key]
                 if self._obs_enabled:
-                    self._m_dirty_bytes.set(self._dirty_bytes)
+                    self._m_dirty_bytes.set(self.dirty_bytes)
 
     def _forget_key(self, key: BlockKey) -> None:
         keys = self._by_inum.get(key.inum)
@@ -215,22 +253,25 @@ class BlockCache:
 
     @property
     def dirty_bytes(self) -> int:
-        return self._dirty_bytes
+        return len(self._dirty) * self.block_size
 
     @property
     def used_bytes(self) -> int:
         return len(self._blocks) * self.block_size
 
-    def dirty_blocks(self) -> Iterator[CacheBlock]:
-        """All dirty blocks, in LRU (roughly: modification) order."""
-        return (block for block in self._blocks.values() if block.dirty)
+    def dirty_blocks(self) -> List[CacheBlock]:
+        """All dirty blocks, in LRU (roughly: modification) order.
+
+        A fresh list, so callers may clean blocks while iterating it.
+        """
+        return sorted(self._dirty.values(), key=_by_tick)
 
     def oldest_dirty_time(self) -> Optional[float]:
         """When the longest-dirty block became dirty (None if all clean)."""
         while self._dirty_fifo:
             key, since = self._dirty_fifo[0]
-            block = self._blocks.get(key)
-            if block is not None and block.dirty and block.dirty_since == since:
+            block = self._dirty.get(key)
+            if block is not None and block.dirty_since == since:
                 return since
             self._dirty_fifo.popleft()
         return None
@@ -242,30 +283,48 @@ class BlockCache:
     def _evictable(self, block: CacheBlock) -> bool:
         # Pointer, inode-map and usage blocks stay resident (§4.2.1);
         # data and packed-inode blocks are fair game once clean.
-        return not block.dirty and block.key.kind in (
-            BlockKind.DATA,
-            BlockKind.INODE,
-        )
+        return not block.dirty and block.key.kind in _EVICTABLE_KINDS
+
+    def _push_evictable(self, block: CacheBlock) -> None:
+        heap = self._evict_heap
+        heapq.heappush(heap, (block.tick, block.key))
+        self.heap_pushes += 1
+        if len(heap) > _HEAP_SLACK * len(self._blocks):
+            # Mostly stale entries: rebuild from the clean evictable
+            # blocks.  A rebuild scans fewer blocks than the entries it
+            # discards, each pushed once, so it stays amortized O(1).
+            self.heap_pops += len(heap)
+            heap[:] = [
+                (b.tick, k) for k, b in self._blocks.items() if self._evictable(b)
+            ]
+            heapq.heapify(heap)
+            self.heap_pushes += len(heap)
 
     def _evict_to_capacity(self) -> None:
         # A full cache exceeds capacity by one block per insert, so this
-        # runs on nearly every insert of a streaming read.  Walk the LRU
-        # order only as far as needed instead of materializing the full
-        # evictable list each time — same victims, same order, but the
-        # common case touches one or two entries, not the whole cache.
+        # runs on nearly every insert of a streaming read.  Every clean
+        # evictable block has a heap entry no newer than its tick, so
+        # the first popped entry whose tick still matches its block is
+        # the least recently used victim; stale entries are dropped or
+        # re-pushed at their block's current tick on the way.
         over = self.used_bytes - self.capacity_bytes
         if over <= 0:
             return
-        victims: List[BlockKey] = []
-        for key, block in self._blocks.items():
-            if self._evictable(block):
-                victims.append(key)
-                over -= self.block_size
-                if over <= 0:
-                    break
-        for key in victims:
-            del self._blocks[key]
+        heap = self._evict_heap
+        blocks = self._blocks
+        while over > 0 and heap:
+            tick, key = heapq.heappop(heap)
+            self.heap_pops += 1
+            block = blocks.get(key)
+            if block is None or block.dirty:
+                continue
+            if block.tick != tick:
+                heapq.heappush(heap, (block.tick, key))
+                self.heap_pushes += 1
+                continue
+            del blocks[key]
             self._forget_key(key)
+            over -= self.block_size
             self.stats.evictions += 1
             if self._obs_enabled:
                 self._m_evictions.inc()
@@ -301,5 +360,5 @@ class BlockCache:
     def __repr__(self) -> str:
         return (
             f"BlockCache({len(self._blocks)} blocks, "
-            f"dirty={self._dirty_bytes}B/{self.capacity_bytes}B)"
+            f"dirty={self.dirty_bytes}B/{self.capacity_bytes}B)"
         )

@@ -367,7 +367,7 @@ class FastFileSystem(BaseFileSystem):
         self._dirty_inodes.clear()
         # 3. Gather every dirty block with its fixed disk address.
         writes: List[Tuple[int, BlockKey, bytes]] = []
-        for block in list(self.cache.dirty_blocks()):
+        for block in self.cache.dirty_blocks():
             key = block.key
             if key.kind is BlockKind.DATA:
                 inode = self._get_inode(key.inum)
@@ -408,7 +408,7 @@ class FastFileSystem(BaseFileSystem):
         """Write this file's dirty data blocks and its inode, blocking."""
         inode = self._handle_inode(handle)
         self.cpu.syscall()
-        for block in list(self.cache.dirty_blocks()):
+        for block in self.cache.dirty_blocks():
             key = block.key
             if key.inum != inode.inum:
                 continue

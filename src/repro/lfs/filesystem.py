@@ -459,21 +459,18 @@ class LogStructuredFS(BaseFileSystem):
         cache = self.cache
         clock = self.clock
 
-        data_blocks = sorted(
-            (
-                block
-                for block in cache.dirty_blocks()
-                if block.key.kind is BlockKind.DATA
-            ),
-            key=lambda block: (block.key.inum, block.key.index),
-        )
+        data_blocks = []
         leaf_keys: Set[BlockKey] = set()
         root_keys: Set[BlockKey] = set()
         for block in cache.dirty_blocks():
-            if block.key.kind is BlockKind.INDIRECT:
+            kind = block.key.kind
+            if kind is BlockKind.DATA:
+                data_blocks.append(block)
+            elif kind is BlockKind.INDIRECT:
                 leaf_keys.add(block.key)
-            elif block.key.kind is BlockKind.DINDIRECT:
+            elif kind is BlockKind.DINDIRECT:
                 root_keys.add(block.key)
+        data_blocks.sort(key=lambda block: (block.key.inum, block.key.index))
         for block in data_blocks:
             lbn = block.key.index
             if lbn >= N_DIRECT:

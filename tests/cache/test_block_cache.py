@@ -249,6 +249,61 @@ class TestLazyEviction:
         assert cache.over_capacity()
 
 
+class TestEvictionWork:
+    """Pin the lazy eviction heap: an insert's eviction work follows the
+    blocks it evicts, not the resident pointer and dirty blocks that sit
+    at the head of the LRU order."""
+
+    STREAM = 500
+
+    def _stream(self, pinned: int) -> BlockCache:
+        dirty = 16
+        cache = BlockCache((pinned + dirty + 32) * BS, BS)
+        for index in range(pinned):
+            cache.insert(
+                key(inum=1, kind=BlockKind.INDIRECT, index=index),
+                [0] * (BS // 8),
+                dirty=False,
+                now=0.0,
+            )
+        for index in range(dirty):
+            cache.insert(key(inum=2, index=index), bytearray(BS), dirty=True, now=0.0)
+        for index in range(64):  # fill to capacity
+            cache.insert(key(inum=3, index=index), bytearray(BS), dirty=False, now=0.0)
+        cache.heap_pushes = cache.heap_pops = 0
+        evictions = cache.stats.evictions
+        for index in range(64, 64 + self.STREAM):
+            cache.insert(key(inum=3, index=index), bytearray(BS), dirty=False, now=0.0)
+        assert cache.stats.evictions - evictions == self.STREAM
+        return cache
+
+    def test_heap_work_per_insert_is_bounded(self):
+        cache = self._stream(pinned=300)
+        assert cache.heap_pops <= cache.heap_pushes
+        assert cache.heap_pushes + cache.heap_pops <= 2 * self.STREAM
+
+    def test_heap_work_independent_of_pinned_blocks(self):
+        few, many = self._stream(pinned=10), self._stream(pinned=600)
+        assert (few.heap_pushes, few.heap_pops) == (
+            many.heap_pushes,
+            many.heap_pops,
+        )
+
+    def test_touched_blocks_cost_one_repush(self):
+        cache = BlockCache(8 * BS, BS)
+        for index in range(8):
+            cache.insert(key(index=index), bytearray(BS), dirty=False, now=0.0)
+        for index in range(4):
+            cache.get(key(index=index))
+        pushes, pops = cache.heap_pushes, cache.heap_pops
+        cache.insert(key(index=8), bytearray(BS), dirty=False, now=0.0)
+        # Four stale entries re-pushed at their new ticks, then block 4
+        # evicted: one push for the insert plus four re-pushes, five pops.
+        assert not cache.contains(key(index=4))
+        assert cache.heap_pushes - pushes == 5
+        assert cache.heap_pops - pops == 5
+
+
 class TestWriteInto:
     def test_matches_as_bytes_for_data(self, cache):
         block = cache.insert(

@@ -28,6 +28,7 @@ implementation.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 from collections import deque
@@ -255,6 +256,15 @@ class SectorDevice:
     def snapshot(self) -> bytes:
         """A copy of the current (possibly non-durable) device image."""
         return bytes(self._data)  # alloc-ok: snapshot API, copy is the point
+
+    def image_sha256(self) -> str:
+        """SHA-256 hex digest of the current image, hashed in place.
+
+        Equal to ``hashlib.sha256(self.snapshot()).hexdigest()`` without
+        the copy, and like :meth:`snapshot` it is not a device read: no
+        counter moves.
+        """
+        return hashlib.sha256(self._data).hexdigest()
 
     def save(self, path: str) -> None:
         """Persist the device image to a host file."""

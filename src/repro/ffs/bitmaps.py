@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional
 
 from repro.errors import CorruptionError, InvalidArgumentError
+
+_NOT_FULL = re.compile(rb"[^\xff]")
+"""Matches a bitmap byte with at least one clear bit."""
 
 
 class Bitmap:
@@ -58,15 +62,35 @@ class Bitmap:
         if self._free == 0:
             return None
         hint = max(0, min(hint, self.nbits - 1))
-        for index in self._scan_from(hint):
-            if not self.is_set(index):
-                self.set(index)
-                return index
-        raise AssertionError("free count positive but no free bit found")
+        index = self._first_clear(hint, self.nbits)
+        if index is None:
+            index = self._first_clear(0, hint)
+        if index is None:
+            raise AssertionError("free count positive but no free bit found")
+        self.set(index)
+        return index
 
-    def _scan_from(self, start: int) -> Iterator[int]:
-        yield from range(start, self.nbits)
-        yield from range(0, start)
+    def _first_clear(self, start: int, stop: int) -> Optional[int]:
+        """Lowest clear bit in ``[start, stop)``, or None.
+
+        Bits are tested one at a time only up to the next byte boundary;
+        past it, one C-level search finds the first byte with a clear
+        bit, so a scan costs bytes, not bits.
+        """
+        bits = self._bits
+        aligned = min(stop, (start + 7) & ~7)
+        for index in range(start, aligned):
+            if not bits[index >> 3] & (1 << (index & 7)):
+                return index
+        if aligned >= stop:
+            return None
+        match = _NOT_FULL.search(bits, aligned >> 3, (stop + 7) >> 3)
+        if match is None:
+            return None
+        byte_index = match.start()
+        byte = bits[byte_index]
+        index = byte_index * 8 + (~byte & (byte + 1)).bit_length() - 1
+        return index if index < stop else None
 
     def iter_set(self) -> Iterator[int]:
         for index in range(self.nbits):

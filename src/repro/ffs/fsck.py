@@ -268,7 +268,7 @@ class _Fsck:
                 for name, child in list(block.entries):
                     child_inode = self.inodes.get(child)
                     if child_inode is None:
-                        block.entries.remove((name, child))
+                        block.remove_entry(name, child)
                         self.report.dangling_entries_removed += 1
                         changed = True
                         continue

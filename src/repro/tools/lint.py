@@ -5,7 +5,9 @@ emit metric/span names missing from the registered vocabulary
 (OBS002), broad ``except`` clauses in the crash-recovery modules
 (FAULT001) and in the crash-under-load chaos/scheduler modules
 (FAULT002), wall-clock calls in the simulated-time service and cluster layers
-(SVC001), and buffer copies on the zero-copy data path (ALLOC001).
+(SVC001), buffer copies on the zero-copy data path (ALLOC001), and
+whole-image device snapshots in the service and cluster layers
+(ALLOC002).
 
 The container this project builds in has no third-party linter, so this
 module is the fallback for ``make lint`` — when ``ruff`` is installed
@@ -443,6 +445,36 @@ def _check_hot_path_allocs(
             )
 
 
+def _check_image_copies(
+    path: str, tree: ast.Module, noqa: Set[int], alloc_ok: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    """ALLOC002: ``.snapshot()`` in the service and cluster layers.
+
+    A device snapshot copies the whole image (64 MiB per cluster shard);
+    to fingerprint an image, hash it in place with
+    ``SectorDevice.image_sha256()``.  A copy that is really wanted
+    carries the same ``# alloc-ok:`` escape hatch as ALLOC001."""
+    normalized = path.replace(os.sep, "/")
+    if not any(part in normalized for part in _SERVICE_DIRS):
+        return
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "snapshot"
+            and node.lineno not in alloc_ok
+            and node.lineno not in noqa
+        ):
+            yield (
+                path,
+                node.lineno,
+                "ALLOC002 `.snapshot()` copies a whole device image in the "
+                "service/cluster layer; hash in place with "
+                "`image_sha256()`, or mark a deliberate copy with "
+                "`# alloc-ok:`",
+            )
+
+
 def lint_file(path: str) -> List[Tuple[str, int, str]]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
@@ -458,9 +490,9 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
     findings.extend(_check_recovery_broad_except(path, tree, noqa))
     findings.extend(_check_chaos_broad_except(path, tree, noqa))
     findings.extend(_check_service_wall_clock(path, tree, noqa))
-    findings.extend(
-        _check_hot_path_allocs(path, tree, noqa, _alloc_ok_lines(source))
-    )
+    alloc_ok = _alloc_ok_lines(source)
+    findings.extend(_check_hot_path_allocs(path, tree, noqa, alloc_ok))
+    findings.extend(_check_image_copies(path, tree, noqa, alloc_ok))
     return findings
 
 

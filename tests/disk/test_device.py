@@ -1,5 +1,7 @@
 """Unit tests for the crash-aware sector device."""
 
+import hashlib
+
 import pytest
 
 from repro.disk.device import SectorDevice
@@ -108,6 +110,15 @@ class TestCrashSemantics:
         image = device.snapshot()
         assert image[:512] == b"s" * 512
         assert len(image) == device.total_bytes
+
+    def test_image_sha256_hashes_live_image_without_moving_counters(self, device):
+        device.write(0, b"h" * 512, completion_time=100.0)
+        state = {k: v for k, v in vars(device).items() if k != "_data"}
+        digest = device.image_sha256()
+        assert {k: v for k, v in vars(device).items() if k != "_data"} == state
+        assert digest == hashlib.sha256(device.snapshot()).hexdigest()
+        device.write(1, b"i" * 512)
+        assert device.image_sha256() != digest
 
 
 class TestConstruction:

@@ -1,6 +1,8 @@
 """Unit tests for cylinder-group bitmaps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.ffs.bitmaps import Bitmap
@@ -112,3 +114,58 @@ class TestSerialization:
         assert a == b
         a.set(1)
         assert a != b
+
+
+# -- oracle: the byte-level search vs a bit-by-bit scan ------------------
+
+
+def _reference_alloc(bits, hint):
+    """The bit-at-a-time wrap-around scan ``alloc_near`` replaced."""
+    nbits = len(bits)
+    hint = max(0, min(hint, nbits - 1))
+    for index in list(range(hint, nbits)) + list(range(0, hint)):
+        if not bits[index]:
+            bits[index] = True
+            return index
+    return None
+
+
+def _reference_bytes(bits):
+    out = bytearray((len(bits) + 7) // 8)
+    for index, bit in enumerate(bits):
+        if bit:
+            out[index // 8] |= 1 << (index % 8)
+    return bytes(out)
+
+
+class TestAllocNearOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_bit_by_bit_scan(self, data):
+        nbits = data.draw(st.integers(min_value=1, max_value=200), "nbits")
+        raw = data.draw(
+            st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8)
+            | st.sampled_from([b"\xff" * ((nbits + 7) // 8)]),
+            "raw",
+        )
+        # from_bytes masks padding bits past nbits, whatever raw holds.
+        bitmap = Bitmap.from_bytes(raw, nbits)
+        bits = [bool(raw[i // 8] & (1 << (i % 8))) for i in range(nbits)]
+        assert bitmap.to_bytes() == _reference_bytes(bits)
+        hints = data.draw(
+            st.lists(
+                st.integers(min_value=-3, max_value=nbits + 10)
+                | st.integers(min_value=nbits - 9, max_value=nbits - 1),
+                min_size=1,
+                max_size=nbits + 5,
+            ),
+            "hints",
+        )
+        for hint in hints:
+            was_full = bitmap.free_count == 0
+            expected = _reference_alloc(bits, hint)
+            got = bitmap.alloc_near(hint)
+            assert got == expected
+            assert (got is None) == was_full
+            assert bitmap.to_bytes() == _reference_bytes(bits)
+            assert bitmap.free_count == bits.count(False)

@@ -97,6 +97,29 @@ class TestCrashRepair:
         again = FastFileSystem.mount(ffs.disk, ffs.cpu, small_ffs_config())
         assert not again.exists("/victim")
 
+    def test_dangling_entry_repair_keeps_survivors_in_order(self, ffs):
+        from repro.common.inode import INODE_SIZE
+        from repro.vfs.base import ROOT_INUM
+
+        for name in ("a", "b", "victim", "c", "d"):
+            ffs.write_file(f"/{name}", name.encode())
+        ffs.sync()
+        before = list(ffs._dir_block(ffs._get_inode(ROOT_INUM), 0).entries)
+        inum = ffs.stat("/victim").inum
+        addr, slot = ffs.layout.inode_location(inum)
+        raw = bytearray(
+            ffs.disk.read(addr * ffs.sectors_per_block, ffs.sectors_per_block)
+        )
+        raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = b"\x00" * INODE_SIZE
+        ffs.disk.write(addr * ffs.sectors_per_block, bytes(raw), sync=True)
+        crash_and_revive(ffs)
+        assert fsck(ffs.disk).dangling_entries_removed == 1
+        again = FastFileSystem.mount(ffs.disk, ffs.cpu, small_ffs_config())
+        after = again._dir_block(again._get_inode(ROOT_INUM), 0).entries
+        assert after == [entry for entry in before if entry[0] != "victim"]
+        again.unmount()
+        assert fsck(ffs.disk).clean
+
     def test_fs_usable_after_repair(self, ffs):
         for i in range(30):
             ffs.write_file(f"/f{i}", bytes([i]) * 3000)

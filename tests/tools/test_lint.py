@@ -251,6 +251,35 @@ class TestHotPathAllocs:
         assert not any("ALLOC001" in m for _, _, m in lint_file(path))
 
 
+class TestImageCopies:
+    def test_flags_snapshot_in_cluster_layer(self, tmp_path):
+        source = (
+            "import hashlib\n\n"
+            "def fingerprint(device):\n"
+            "    return hashlib.sha256(device.snapshot()).hexdigest()\n"
+        )
+        path = write_module(tmp_path, "repro/cluster/ext.py", source)
+        assert any("ALLOC002" in m for _, _, m in lint_file(path))
+
+    def test_flags_snapshot_in_service_layer(self, tmp_path):
+        source = "def keep(fs):\n    return fs.disk.device.snapshot()\n"
+        path = write_module(tmp_path, "repro/service/ext.py", source)
+        assert any("ALLOC002" in m for _, _, m in lint_file(path))
+
+    def test_ignores_snapshot_outside_service_and_cluster(self, tmp_path):
+        source = "def keep(device):\n    return device.snapshot()\n"
+        path = write_module(tmp_path, "repro/faults/ext.py", source)
+        assert not any("ALLOC002" in m for _, _, m in lint_file(path))
+
+    def test_alloc_ok_comment_suppresses_the_finding(self, tmp_path):
+        source = (
+            "def keep(device):\n"
+            "    return device.snapshot()  # alloc-ok: image kept for diff\n"
+        )
+        path = write_module(tmp_path, "repro/cluster/ext.py", source)
+        assert not any("ALLOC002" in m for _, _, m in lint_file(path))
+
+
 class TestObsRegisteredNames:
     def test_flags_unregistered_counter_name(self, tmp_path):
         source = (
